@@ -28,7 +28,7 @@ val debug_checks_enabled : unit -> bool
 
 val set_debug_checks : bool -> unit
 (** Defaults to the [PARTIR_DEBUG_CHECKS] environment variable (unset,
-    empty, or ["0"] mean off). When on, every [Staged.tile]/[atomic],
+    empty, or ["0"] mean off). When on, every [Staged.apply] batch,
     [Lower.lower], and [Fusion] rewrite re-verifies its output and raises
     {!Check_error} on the first inconsistency. *)
 

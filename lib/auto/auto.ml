@@ -161,13 +161,21 @@ let options_at (staged : Staged.t) (axis, (p : Value.t)) =
   let dims = List.filteri (fun i _ -> i < 3) dims in
   Skip :: Atomic :: List.map (fun d -> Tile d) dims
 
-let apply_decision staged (axis, (p : Value.t)) = function
-  | Skip -> ()
-  | Atomic -> ignore (Staged.atomic staged ~value:p ~axis)
-  | Tile d -> ignore (Staged.tile staged ~value:p ~dim:d ~axis)
+(* A decision vector's actions, applied as one batch. *)
+let apply_decisions staged poss dv =
+  let action i d =
+    let axis, value = poss.(i) in
+    match d with
+    | Skip -> None
+    | Atomic -> Some (Staged.Atomic { value; axis })
+    | Tile dim -> Some (Staged.Tile { value; dim; axis })
+  in
+  ignore
+    (Staged.apply staged
+       (List.filter_map Fun.id (List.mapi action (Array.to_list dv))))
 
 let apply_best base poss decisions =
-  Array.iteri (fun i d -> apply_decision base poss.(i) d) decisions;
+  apply_decisions base poss decisions;
   ignore (Propagate.run base)
 
 (* ------------------------------------------------------------------ *)
@@ -211,7 +219,7 @@ type eval_ctx = {
 let raw_cost opts base poss source_flops (dv : decision array) =
   let staged = Staged.copy base in
   try
-    Array.iteri (fun i d -> apply_decision staged poss.(i) d) dv;
+    apply_decisions staged poss dv;
     ignore (Propagate.run staged);
     (evaluate ~source_flops opts staged, None)
   with

@@ -74,23 +74,30 @@ let hw = Hardware.tpu_v3
 
 (* {1 Tactic application} *)
 
-let apply_schedule (c : Gen.t) staged pool =
+(* The schedule's tile/atomic entries as seeding actions on the pool. *)
+let seed_actions (c : Gen.t) pool sched =
   let npool = List.length pool in
+  let target t = List.nth pool (Gen.pos t npool) in
+  List.filter_map
+    (function
+      | Gen.Tile { target = t; dim; axis } ->
+          Some
+            (Staged.Tile
+               { value = target t; dim = Gen.pos dim 2; axis = Gen.axis_of c axis })
+      | Gen.Atomic { target = t; axis } ->
+          Some (Staged.Atomic { value = target t; axis = Gen.axis_of c axis })
+      | Gen.Auto _ -> None)
+    sched
+
+let apply_schedule (c : Gen.t) staged pool =
   let applied = ref 0 and skipped = ref 0 in
   let attempt f = try f (); incr applied with Staged.Action_error _ -> incr skipped in
   List.iter
     (fun tac ->
       (match tac with
-      | Gen.Tile { target; dim; axis } ->
-          let v = List.nth pool (Gen.pos target npool) in
+      | Gen.Tile _ | Gen.Atomic _ ->
           attempt (fun () ->
-              ignore
-                (Staged.tile staged ~value:v ~dim:(Gen.pos dim 2)
-                   ~axis:(Gen.axis_of c axis)))
-      | Gen.Atomic { target; axis } ->
-          let v = List.nth pool (Gen.pos target npool) in
-          attempt (fun () ->
-              ignore (Staged.atomic staged ~value:v ~axis:(Gen.axis_of c axis)))
+              ignore (Staged.apply staged (seed_actions c pool [ tac ])))
       | Gen.Auto { budget; mcts; axes } ->
           let axes =
             match axes with
@@ -111,6 +118,37 @@ let apply_schedule (c : Gen.t) staged pool =
     c.sched;
   ignore (Propagate.run staged);
   (!applied, !skipped)
+
+(* Batched seeding equals one-at-a-time seeding: the schedule's legal
+   tile/atomic actions applied as one [Staged.apply] batch print the same
+   module as all of them applied one per call (illegal ones skipped); and
+   when some action is illegal, the whole list as one batch raises and
+   leaves the module untouched. *)
+let check_batch_seeding (c : Gen.t) mesh func pool =
+  let actions = seed_actions c pool c.sched in
+  let one = Staged.of_func mesh func in
+  let legal =
+    List.filter
+      (fun a ->
+        match Staged.apply one [ a ] with
+        | _ -> true
+        | exception Staged.Action_error _ -> false)
+      actions
+  in
+  let batch = Staged.of_func mesh func in
+  ignore (Staged.apply batch legal);
+  if Staged.to_string batch <> Staged.to_string one then
+    failf "batch-seeding" "%d actions as one batch differ from one at a time"
+      (List.length legal);
+  if List.length legal < List.length actions then begin
+    let fresh = Staged.of_func mesh func in
+    let before = Staged.to_string fresh in
+    match Staged.apply fresh actions with
+    | _ -> failf "batch-seeding" "a batch with an illegal action applied"
+    | exception Staged.Action_error _ ->
+        if Staged.to_string fresh <> before then
+          failf "batch-seeding" "a rejected batch changed the module"
+  end
 
 (* Input annotations the GSPMD baseline can mirror: the schedule's tiles
    on function parameters, kept only if they apply cleanly in sequence on
@@ -319,6 +357,7 @@ let run_case_exn (c : Gen.t) =
     (Array.to_list (Plan.execute (Plan.compile func) (Array.of_list args)));
   let staged = Staged.of_func mesh func in
   let applied, skipped = apply_schedule c staged pool in
+  check_batch_seeding c mesh func pool;
   check_verified "verifier-staged" (Partir_analysis.Analysis.check_staged staged);
   check_outputs "temporal" ~reference (Temporal.run staged args);
   let p0 = Lower.lower ~fuse:false staged in

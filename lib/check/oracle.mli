@@ -15,7 +15,10 @@
     - the analytic walk and the discrete-event engine agree to 1e-9 on
       fault-free programs, for both cost profiles;
     - the static analyzers ([Partir_analysis]) report zero diagnostics on
-      the staged module and on both lowered programs. *)
+      the staged module and on both lowered programs;
+    - the schedule's tile/atomic actions give the same module applied as
+      one [Staged.apply] batch as applied one at a time, and a batch
+      holding an illegal action raises and changes nothing. *)
 
 type failure = {
   label : string;
@@ -23,7 +26,8 @@ type failure = {
           ["spmd-fused"], ["gspmd"], ["fusion-collective-count"],
           ["fusion-comm-time"], ["fusion-idempotent"],
           ["comm-latency-floor"], ["engine-parity"], ["verifier-staged"],
-          ["verifier-spmd"], ["verifier-fused"], or ["exception"] *)
+          ["verifier-spmd"], ["verifier-fused"], ["batch-seeding"], or
+          ["exception"] *)
   detail : string;
 }
 

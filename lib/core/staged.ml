@@ -19,7 +19,8 @@ exception Action_error of string
 
 let action_errorf fmt = Format.kasprintf (fun s -> raise (Action_error s)) fmt
 
-(* Debug-mode assertion hook, run after every action. Installed by
+(* Debug-mode assertion hook, run once per batch of actions, after it is
+   committed. Installed by
    [Partir_analysis.Analysis] (kept as a ref to avoid a dependency cycle:
    the analyses consume this module). *)
 let debug_hook : (t -> unit) ref = ref (fun _ -> ())
@@ -80,10 +81,7 @@ type scope =
   | Top
   | Region of sop  (** the [For] sop owning the region *)
 
-let scope_params t = function
-  | Top -> t.params
-  | Region s -> (
-      match s.op.region with Some r -> r.params | None -> [])
+let scope_key = function Top -> -1 | Region s -> s.op.Op.id
 
 let scope_body t = function Top -> t.body | Region s -> s.region_body
 
@@ -92,138 +90,151 @@ let set_scope_body t scope body =
   | Top -> t.body <- body
   | Region s -> s.region_body <- body
 
-let replace_value subst (v : Value.t) =
-  match Value.Map.find_opt v.Value.id subst with Some v' -> v' | None -> v
-
-(* Rewrite uses of old values in an op's operands (regions are closed, so
-   region bodies need no rewriting; [For] yields are handled separately by
-   the caller when the defining scope is a region). *)
-let rewrite_operands subst (s : sop) =
-  if
-    List.exists
-      (fun (v : Value.t) -> Value.Map.mem v.Value.id subst)
-      s.op.operands
-  then
-    s.op <- { s.op with operands = List.map (replace_value subst) s.op.operands }
-
-let rewrite_terminator t scope subst =
-  match scope with
-  | Top -> t.results <- List.map (replace_value subst) t.results
-  | Region s -> (
-      match s.op.region with
-      | None -> ()
-      | Some r ->
-          s.op <-
-            {
-              s.op with
-              region = Some { r with yields = List.map (replace_value subst) r.yields };
-            })
-
-(* Insert [seed] into the scope defining [value]; returns true on success. *)
-let rec insert_in_scope t scope ~(value : Value.t) ~(seed : sop) =
-  let body = scope_body t scope in
-  let is_param =
-    List.exists (fun (p : Value.t) -> p.Value.id = value.Value.id) (scope_params t scope)
-  in
-  let subst =
-    Value.Map.singleton value.Value.id (List.hd seed.op.results)
-  in
-  if is_param then begin
-    List.iter (rewrite_operands subst) body;
-    rewrite_terminator t scope subst;
-    set_scope_body t scope (seed :: body);
-    true
-  end
-  else
-    let rec split acc = function
-      | [] -> None
-      | (s : sop) :: rest ->
-          if List.exists (fun (r : Value.t) -> r.Value.id = value.Value.id) s.op.results
-          then Some (List.rev (s :: acc), rest)
-          else split (s :: acc) rest
-    in
-    match split [] body with
-    | Some (before, after) ->
-        List.iter (rewrite_operands subst) after;
-        rewrite_terminator t scope subst;
-        set_scope_body t scope (before @ (seed :: after));
-        true
-    | None ->
-        (* Recurse into region scopes. *)
-        List.exists
-          (fun (s : sop) ->
-            s.region_body <> [] && insert_in_scope t (Region s) ~value ~seed)
-          body
-
-(* Follow the identity(-seed/tag) chain rooted at [value] to its end, so a
-   new action applies below earlier actions on the same value: later tactics
-   see (and can never undo) earlier decisions, and an [atomic] inserted
-   after a tile protects the consumer-facing end of the chain. *)
-let chain_end t (value : Value.t) =
-  let sops = all_sops t in
-  let rec go (value : Value.t) =
-    let next =
-      List.find_opt
-        (fun (s : sop) ->
-          (match s.op.kind with Op.Identity -> true | _ -> false)
-          &&
-          match s.op.operands with
-          | [ o ] -> o.Value.id = value.Value.id
-          | _ -> false)
-        sops
-    in
-    match next with Some s -> go (List.hd s.op.results) | None -> value
-  in
-  go value
-
-let value_dim_axes t (value : Value.t) =
-  let sops = all_sops t in
-  (* Producer-side tilings. *)
-  let producer_tilings (v : Value.t) =
-    List.concat_map
+(* Visit every scope parameter and staged op in program order, a [For]'s
+   region parameters and body right after the [For] itself. *)
+let iter_defs t ~param ~sop =
+  let rec go scope params body =
+    List.iter (param scope) params;
+    List.iter
       (fun (s : sop) ->
-        let idx = ref (-1) in
-        List.iteri
-          (fun i (r : Value.t) -> if r.Value.id = v.Value.id then idx := i)
-          s.op.results;
-        if !idx < 0 then []
-        else
-          List.filter_map
-            (fun (e : Action.entry) ->
-              match e.Action.result_actions.(!idx) with
-              | Action.Tile d -> Some (d, e.Action.axis)
-              | Action.Reduce _ | Action.Any -> None)
-            s.nest)
-      sops
+        sop scope s;
+        match s.op.region with
+        | Some r -> go (Region s) r.params s.region_body
+        | None -> ())
+      body
   in
-  (* Follow the identity-seed chain downstream. *)
+  go Top t.params t.body
+
+type action =
+  | Tile of { value : Value.t; dim : int; axis : string }
+  | Atomic of { value : Value.t; axis : string }
+  | Tile_by of {
+      value : Value.t;
+      axis : string;
+      choose : (int * string) list -> int option;
+    }
+
+(* Where a seed goes: at the start of a scope (the seeded value is one of
+   its parameters) or right after the op producing the seeded value. Keys
+   are op ids ([scope_key] for scope starts). *)
+type anchor = Start of int | After of int
+
+(* A value's definition: a parameter of [scope], or result [i] of a sop. *)
+type site = { scope : scope; producer : (sop * int) option }
+
+(* One batch of actions against one module. The index is built in a
+   single walk and kept current as seeds are resolved, so every action
+   sees the seeds of earlier actions in the batch; nothing touches the
+   module until [commit]. *)
+type batch = {
+  sites : (int, site) Hashtbl.t;
+      (** value id -> definition, for the actions' targets and every
+          [Identity] result: the only values a seed chain passes through *)
+  succ : (int, sop) Hashtbl.t;
+      (** value id -> first [Identity] op (program order) consuming it: the
+          next link of the value's identity(-seed/tag) chain *)
+  pending : (anchor, sop list) Hashtbl.t;  (** new seeds, latest first *)
+  touched : (int, scope) Hashtbl.t;  (** scopes receiving seeds *)
+  subst : (int, Value.t) Hashtbl.t;  (** seeded value id -> seed result *)
+}
+
+let target = function
+  | Tile { value; _ } | Atomic { value; _ } | Tile_by { value; _ } -> value
+
+let index t actions =
+  let targets =
+    List.fold_left
+      (fun acc a -> Value.Set.add (target a).Value.id acc)
+      Value.Set.empty actions
+  in
+  let b =
+    {
+      sites = Hashtbl.create 256;
+      succ = Hashtbl.create 256;
+      pending = Hashtbl.create 64;
+      touched = Hashtbl.create 4;
+      subst = Hashtbl.create 64;
+    }
+  in
+  iter_defs t
+    ~param:(fun scope (p : Value.t) ->
+      (* Seeds go into non-empty scopes only. *)
+      if Value.Set.mem p.Value.id targets && scope_body t scope <> [] then
+        Hashtbl.replace b.sites p.Value.id { scope; producer = None })
+    ~sop:(fun scope s ->
+      let identity =
+        match (s.op.kind, s.op.operands) with
+        | Op.Identity, [ o ] ->
+            if not (Hashtbl.mem b.succ o.Value.id) then
+              Hashtbl.add b.succ o.Value.id s;
+            true
+        | _ -> false
+      in
+      List.iteri
+        (fun i (r : Value.t) ->
+          if identity || Value.Set.mem r.Value.id targets then
+            Hashtbl.replace b.sites r.Value.id { scope; producer = Some (s, i) })
+        s.op.results);
+  b
+
+(* Follow the identity chain rooted at [value] to its end, so a new action
+   applies below earlier actions on the same value: later tactics see (and
+   can never undo) earlier decisions, and an [atomic] inserted after a tile
+   protects the consumer-facing end of the chain. *)
+let rec chain_end b (value : Value.t) =
+  match Hashtbl.find_opt b.succ value.Value.id with
+  | Some s -> chain_end b (List.hd s.op.results)
+  | None -> value
+
+(* The (dim, axis) tilings [value]'s producer and its identity chain
+   expose, outermost link first. *)
+let dim_axes b (value : Value.t) =
+  let producer_tilings (v : Value.t) =
+    match Hashtbl.find_opt b.sites v.Value.id with
+    | Some { producer = Some (s, i); _ } ->
+        List.filter_map
+          (fun (e : Action.entry) ->
+            match e.Action.result_actions.(i) with
+            | Action.Tile d -> Some (d, e.Action.axis)
+            | Action.Reduce _ | Action.Any -> None)
+          s.nest
+    | Some { producer = None; _ } | None -> []
+  in
   let rec follow (v : Value.t) acc =
     let acc = acc @ producer_tilings v in
-    let next =
-      List.find_opt
-        (fun (s : sop) ->
-          (match s.op.kind with Op.Identity -> true | _ -> false)
-          && match s.op.operands with
-             | [ o ] -> o.Value.id = v.Value.id
-             | _ -> false)
-        sops
-    in
-    match next with
+    match Hashtbl.find_opt b.succ v.Value.id with
     | Some s -> follow (List.hd s.op.results) acc
     | None -> acc
   in
   follow value []
 
-let insert_seed t ~(value : Value.t) ~(entry : Action.entry) =
-  let value = chain_end t value in
+let add_seed t b ~(value : Value.t) ~(entry : Action.entry) =
+  let value = chain_end b value in
   let op = Op.make Op.Identity [ value ] () in
   let seed = { op; nest = [ entry ]; region_body = [] } in
-  if not (insert_in_scope t Top ~value ~seed) then
-    action_errorf "value %%%d (%s) not found in module %s" value.Value.id
-      value.Value.name t.name;
-  List.hd op.results
+  let site =
+    match Hashtbl.find_opt b.sites value.Value.id with
+    | Some site -> site
+    | None ->
+        action_errorf "value %%%d (%s) not found in module %s" value.Value.id
+          value.Value.name t.name
+  in
+  let anchor =
+    match site.producer with
+    | None -> Start (scope_key site.scope)
+    | Some (s, _) -> After s.op.Op.id
+  in
+  let result = List.hd op.results in
+  Hashtbl.replace b.pending anchor
+    (seed :: Option.value ~default:[] (Hashtbl.find_opt b.pending anchor));
+  Hashtbl.replace b.touched (scope_key site.scope) site.scope;
+  Hashtbl.replace b.sites result.Value.id
+    { scope = site.scope; producer = Some (seed, 0) };
+  Hashtbl.replace b.succ value.Value.id seed;
+  Hashtbl.replace b.subst value.Value.id result;
+  result
 
-let tile t ~value ~dim ~axis =
+let resolve_tile t b ~value ~dim ~axis =
   if not (Mesh.has_axis t.mesh axis) then
     action_errorf "tile: unknown mesh axis %S in mesh %s" axis
       (Mesh.to_string t.mesh);
@@ -240,39 +251,92 @@ let tile t ~value ~dim ~axis =
     List.fold_left
       (fun acc (d, a) ->
         if d = dim && a <> axis then acc * Mesh.axis_size t.mesh a else acc)
-      1 (value_dim_axes t value)
+      1 (dim_axes b value)
   in
   if shape.(dim) mod (size * existing) <> 0 then
     action_errorf
       "tile: dim %d of %%%d (%s) has size %d (already tiled %dx), not \
        divisible by mesh axis %S of size %d"
       dim value.Value.id value.Value.name shape.(dim) existing axis size;
-  let seed =
-    insert_seed t ~value
-      ~entry:
-        {
-          Action.axis;
-          operand_dims = [| Some dim |];
-          result_actions = [| Action.Tile dim |];
-        }
-  in
-  !debug_hook t;
-  seed
+  add_seed t b ~value
+    ~entry:
+      {
+        Action.axis;
+        operand_dims = [| Some dim |];
+        result_actions = [| Action.Tile dim |];
+      }
 
-let atomic t ~value ~axis =
-  if not (Mesh.has_axis t.mesh axis) then
-    action_errorf "atomic: unknown mesh axis %S" axis;
-  let seed =
-    insert_seed t ~value
-      ~entry:
-        {
-          Action.axis;
-          operand_dims = [| None |];
-          result_actions = [| Action.Any |];
-        }
+let resolve t b = function
+  | Tile { value; dim; axis } -> resolve_tile t b ~value ~dim ~axis
+  | Tile_by { value; axis; choose } -> (
+      match choose (dim_axes b value) with
+      | Some dim -> resolve_tile t b ~value ~dim ~axis
+      | None -> chain_end b value)
+  | Atomic { value; axis } ->
+      if not (Mesh.has_axis t.mesh axis) then
+        action_errorf "atomic: unknown mesh axis %S" axis;
+      add_seed t b ~value
+        ~entry:
+          {
+            Action.axis;
+            operand_dims = [| None |];
+            result_actions = [| Action.Any |];
+          }
+
+(* Splice every pending seed in after its anchor (a later seed on the same
+   anchor lands closer to it, as if inserted one at a time) and redirect
+   each seeded value's uses in its scope to the end of its new seed chain.
+   Regions are closed, so only the touched scopes' ops and terminators can
+   use a seeded value; the new seeds' own operands are left alone. *)
+let commit t b =
+  let rec resolve_value (v : Value.t) =
+    match Hashtbl.find_opt b.subst v.Value.id with
+    | Some v' -> resolve_value v'
+    | None -> v
   in
-  !debug_hook t;
-  seed
+  let seeded (v : Value.t) = Hashtbl.mem b.subst v.Value.id in
+  let seeds_at anchor =
+    Option.value ~default:[] (Hashtbl.find_opt b.pending anchor)
+  in
+  let rec expand (s : sop) =
+    s :: List.concat_map expand (seeds_at (After s.op.Op.id))
+  in
+  Hashtbl.iter
+    (fun key scope ->
+      let body = scope_body t scope in
+      List.iter
+        (fun (s : sop) ->
+          if List.exists seeded s.op.operands then
+            s.op <- { s.op with operands = List.map resolve_value s.op.operands })
+        body;
+      (match scope with
+      | Top -> t.results <- List.map resolve_value t.results
+      | Region s -> (
+          match s.op.region with
+          | Some r ->
+              s.op <-
+                {
+                  s.op with
+                  region = Some { r with yields = List.map resolve_value r.yields };
+                }
+          | None -> ()));
+      set_scope_body t scope
+        (List.concat_map expand (seeds_at (Start key))
+        @ List.concat_map expand body))
+    b.touched
+
+let apply t actions =
+  match actions with
+  | [] -> []
+  | _ ->
+      let b = index t actions in
+      let results = List.map (resolve t b) actions in
+      commit t b;
+      !debug_hook t;
+      results
+
+let tile t ~value ~dim ~axis = List.hd (apply t [ Tile { value; dim; axis } ])
+let atomic t ~value ~axis = List.hd (apply t [ Atomic { value; axis } ])
 
 (* Upfront divisibility validation of every loop-nest entry, on both the
    operand and the result side. Downstream consumers do truncating integer
@@ -340,31 +404,13 @@ let validate t =
         "result")
     (all_sops t)
 
-let find_value t name =
-  let found (v : Value.t) = v.Value.name = name in
-  match List.find_opt found t.params with
-  | Some v -> Some v
-  | None ->
-      let rec search sops =
-        List.fold_left
-          (fun acc (s : sop) ->
-            match acc with
-            | Some _ -> acc
-            | None -> (
-                match List.find_opt found s.op.results with
-                | Some v -> Some v
-                | None -> (
-                    let from_params =
-                      match s.op.region with
-                      | Some r -> List.find_opt found r.params
-                      | None -> None
-                    in
-                    match from_params with
-                    | Some v -> Some v
-                    | None -> search s.region_body)))
-          None sops
-      in
-      search t.body
+let find_value t =
+  let names = Hashtbl.create 256 in
+  let add (v : Value.t) =
+    if not (Hashtbl.mem names v.Value.name) then Hashtbl.add names v.Value.name v
+  in
+  iter_defs t ~param:(fun _ -> add) ~sop:(fun _ s -> List.iter add s.op.results);
+  fun name -> Hashtbl.find_opt names name
 
 let collect_tags t =
   List.concat_map

@@ -34,7 +34,8 @@ val to_func_unchecked : t -> Func.t
     that want to report on broken modules instead of raising. *)
 
 val debug_hook : (t -> unit) ref
-(** Called after every {!tile}/{!atomic} action. Installed by
+(** Called once per non-empty {!apply} batch (so once per {!tile} or
+    {!atomic}), after the batch is committed. Installed by
     [Partir_analysis.Analysis] to run debug-mode verification; a ref to
     avoid a dependency cycle. Defaults to a no-op. *)
 
@@ -45,17 +46,41 @@ val copy : t -> t
 
 exception Action_error of string
 
+type action =
+  | Tile of { value : Value.t; dim : int; axis : string }
+      (** The paper's [tile<%v, dim, axis>] compiler action: a value-tiling
+          seed after the producer of [value], with downstream uses
+          redirected to it. Tiling an already-tiled value performs deep
+          tiling (appends to the seed chain). *)
+  | Atomic of { value : Value.t; axis : string }
+      (** The paper's [atomic<%v, axis>] action: keep [value] replicated
+          along [axis] with an [Any] seed that blocks propagation. *)
+  | Tile_by of {
+      value : Value.t;
+      axis : string;
+      choose : (int * string) list -> int option;
+    }
+      (** [Tile] on the dim [choose] picks from the (dim, axis) tilings
+          [value]'s producer and seed chain expose, seeds of earlier
+          actions in the same batch included; [None] skips the action. *)
+
+val apply : t -> action list -> Value.t list
+(** Apply a batch of actions in order, returning for each the value
+    consumers of its target now read (the seed's result; for a skipped
+    [Tile_by], the end of the target's chain). One index of the module
+    (definitions, identity chains) is built per call and kept current as
+    seeds are resolved, so each action sees the earlier ones exactly as if
+    they had been applied one at a time; then every seed is spliced in and
+    every use redirected in one rewrite. All-or-nothing: raises
+    {!Action_error} — if an axis is unknown, a dimension is out of range
+    or not divisible by the axis size (after tilings by other axes), or a
+    value is not in the module — before touching the module. *)
+
 val tile : t -> value:Value.t -> dim:int -> axis:string -> Value.t
-(** The paper's [tile<%v, dim, axis>] compiler action: insert a value-tiling
-    seed after the producer of [value] and redirect downstream uses.
-    Returns the seed's result value. Raises {!Action_error} if the axis is
-    unknown, the dimension is out of range, or not divisible by the axis
-    size. Tiling an already-tiled value performs deep tiling (appends to the
-    seed chain). *)
+(** A one-action {!apply} of [Tile]. *)
 
 val atomic : t -> value:Value.t -> axis:string -> Value.t
-(** The paper's [atomic<%v, axis>] action: keep [value] replicated along
-    [axis] by inserting an [Any] seed that blocks propagation. *)
+(** A one-action {!apply} of [Atomic]. *)
 
 val validate : t -> unit
 (** Check every loop-nest entry for mesh/shape divisibility, on both the
@@ -69,7 +94,8 @@ val validate : t -> unit
 
 val find_value : t -> string -> Value.t option
 (** Look up a parameter or (tagged) op-result value by name, searching
-    region bodies too. First match in program order. *)
+    region bodies too. First match in program order. Partially applied,
+    it indexes every name once and answers each lookup in constant time. *)
 
 val all_sops : t -> sop list
 (** All staged ops in program order, region bodies inlined after their
@@ -77,11 +103,6 @@ val all_sops : t -> sop list
 
 val nest_axes : sop -> string list
 val entry_on : sop -> string -> Action.entry option
-val value_dim_axes : t -> Value.t -> (int * string) list
-(** For a value: the (dim, axis) tilings its producing op (or seed chain)
-    exposes — the sharding spec that would be reported for it. For function
-    parameters this looks through the seed chain rooted at the parameter. *)
-
 val collect_tags : t -> (string * Value.t) list
 (** All named op-result values (tags usable for model-internal actions). *)
 

@@ -66,26 +66,30 @@ let first_divisible_dim ~tiled (v : Value.t) ~size =
   in
   go 0 None
 
-let apply_spec staged ~arrivals ~axis (v : Value.t) spec =
+let spec_action staged ~arrivals ~axis (v : Value.t) spec =
   let size = Mesh.axis_size staged.Staged.mesh axis in
   match spec with
-  | Infer -> ()
-  | Replicated -> ignore (Staged.atomic staged ~value:v ~axis)
-  | Dim d -> ignore (Staged.tile staged ~value:v ~dim:d ~axis)
-  | First_divisible -> (
-      let tiled =
-        match Hashtbl.find_opt (Lazy.force arrivals) v.Value.id with
-        | Some layout ->
-            List.concat
-              (List.mapi
-                 (fun d axes -> if axes <> [] then [ d ] else [])
-                 (Array.to_list layout))
-        | None -> List.map fst (Staged.value_dim_axes staged v)
+  | Infer -> None
+  | Replicated -> Some (Staged.Atomic { value = v; axis })
+  | Dim dim -> Some (Staged.Tile { value = v; dim; axis })
+  | First_divisible ->
+      let arrival = Hashtbl.find_opt (Lazy.force arrivals) v.Value.id in
+      let choose current =
+        let tiled =
+          match arrival with
+          | Some layout ->
+              List.concat
+                (List.mapi
+                   (fun d axes -> if axes <> [] then [ d ] else [])
+                   (Array.to_list layout))
+          | None -> List.map fst current
+        in
+        first_divisible_dim ~tiled v ~size
       in
-      match first_divisible_dim ~tiled v ~size with
-      | Some d -> ignore (Staged.tile staged ~value:v ~dim:d ~axis)
-      | None -> ())
+      Some (Staged.Tile_by { value = v; axis; choose })
 
+(* All of a tactic's seeds go in as one {!Staged.apply} batch: parameters
+   through the [by_name] callback, then explicit inputs, then tags. *)
 let apply_manual_seeds staged (m : manual) =
   (* Arrival layouts as of the start of this tactic (lazy: only computed
      when a First_divisible spec needs them). *)
@@ -98,34 +102,33 @@ let apply_manual_seeds staged (m : manual) =
          (Lower.arrival_layouts staged);
        tbl)
   in
+  let action = spec_action staged ~arrivals ~axis:m.axis in
   (* Callback over all parameters first; explicit entries override. *)
-  (match m.by_name with
-  | None -> ()
-  | Some f ->
-      List.iter
-        (fun (p : Value.t) ->
-          if not (List.mem_assoc p.Value.name m.inputs) then
-            apply_spec staged ~arrivals ~axis:m.axis p
-              (f p.Value.name p.Value.ty.Value.shape))
-        staged.Staged.params);
-  List.iter
-    (fun (name, spec) ->
-      match Staged.find_value staged name with
-      | Some v -> apply_spec staged ~arrivals ~axis:m.axis v spec
-      | None ->
-          raise
-            (Staged.Action_error
-               (Printf.sprintf "schedule %s: no input named %S" m.label name)))
-    m.inputs;
-  List.iter
-    (fun (name, spec) ->
-      match Staged.find_value staged name with
-      | Some v -> apply_spec staged ~arrivals ~axis:m.axis v spec
-      | None ->
-          raise
-            (Staged.Action_error
-               (Printf.sprintf "schedule %s: no tagged value %S" m.label name)))
-    m.tags
+  let from_callback =
+    match m.by_name with
+    | None -> []
+    | Some f ->
+        List.filter_map
+          (fun (p : Value.t) ->
+            if List.mem_assoc p.Value.name m.inputs then None
+            else action p (f p.Value.name p.Value.ty.Value.shape))
+          staged.Staged.params
+  in
+  let find = Staged.find_value staged in
+  let named what entries =
+    List.filter_map
+      (fun (name, spec) ->
+        match find name with
+        | Some v -> action v spec
+        | None ->
+            raise
+              (Staged.Action_error
+                 (Printf.sprintf "schedule %s: no %s %S" m.label what name)))
+      entries
+  in
+  let inputs = named "input named" m.inputs in
+  let tags = named "tagged value" m.tags in
+  ignore (Staged.apply staged (from_callback @ inputs @ tags))
 
 let jit ?hardware ?(ties = []) ?(single_tactic = false) mesh (f : Func.t)
     (tactics : tactic list) =

@@ -6,7 +6,10 @@
       interpretation.
    2. End-to-end: random straight-line programs with random tile/atomic
       actions evaluate identically under the reference interpreter, the
-      temporal interpreter, and lockstep multi-device SPMD execution. *)
+      temporal interpreter, and lockstep multi-device SPMD execution.
+   3. Batched seeding: random action lists on random partcheck programs
+      give the same module applied as one [Staged.apply] batch as applied
+      one at a time; batches are all-or-nothing. *)
 
 open Partir_tensor
 open Partir_hlo
@@ -16,6 +19,8 @@ module Temporal = Partir_temporal.Temporal
 module Lower = Partir_spmd.Lower
 module Spmd_interp = Partir_spmd.Spmd_interp
 module Mlp = Partir_models.Mlp
+module Gen = Partir_check.Gen
+module Cache = Partir_serve.Cache
 
 let random_literal st (v : Value.t) =
   Literal.init v.Value.ty.Value.dtype v.Value.ty.Value.shape (fun _ ->
@@ -183,6 +188,122 @@ let random_pipeline_test =
       List.for_all2 (fun a b -> Literal.max_abs_diff a b < 1e-3) reference temporal
       && List.for_all2 (fun a b -> Literal.max_abs_diff a b < 1e-3) reference spmd)
 
+(* Random seeding actions over [targets]: tiles (some with out-of-range
+   dims), atomics, and [Tile_by] picking the first dim not yet tiled. *)
+let random_action st targets axes =
+  let value = targets.(Random.State.int st (Array.length targets)) in
+  let axis = axes.(Random.State.int st (Array.length axes)) in
+  let rank = Shape.rank value.Value.ty.Value.shape in
+  match Random.State.int st 4 with
+  | 0 -> Staged.Atomic { value; axis }
+  | 1 ->
+      let choose current =
+        List.find_opt
+          (fun d -> not (List.mem_assoc d current))
+          (List.init rank Fun.id)
+      in
+      Staged.Tile_by { value; axis; choose }
+  | _ -> Staged.Tile { value; dim = Random.State.int st (rank + 1); axis }
+
+(* A partcheck program with its seeding targets: the top-level value pool
+   plus every [For] region parameter and region-body result. *)
+let seeding_case seed =
+  let c = Gen.generate ~seed in
+  let func, mesh, pool = Gen.build c in
+  let region_values =
+    List.concat_map
+      (fun (s : Staged.sop) ->
+        match s.Staged.op.Op.region with
+        | Some r ->
+            r.Op.params
+            @ List.concat_map
+                (fun (b : Staged.sop) -> b.Staged.op.Op.results)
+                s.Staged.region_body
+        | None -> [])
+      (Staged.all_sops (Staged.of_func mesh func))
+  in
+  ( func,
+    mesh,
+    Array.of_list (pool @ region_values),
+    Array.of_list (List.map fst c.Gen.mesh) )
+
+(* Applies [actions] one per call, keeping the legal ones. *)
+let apply_one_at_a_time staged actions =
+  List.filter
+    (fun a ->
+      match Staged.apply staged [ a ] with
+      | _ -> true
+      | exception Staged.Action_error _ -> false)
+    actions
+
+let batch_seeding_test =
+  let open QCheck in
+  Test.make ~name:"one batch = one action at a time (to_string, digest)"
+    ~count:300
+    (pair (int_range 0 100000) (int_range 1 10))
+    (fun (seed, n_actions) ->
+      let func, mesh, targets, axes = seeding_case seed in
+      let st = Random.State.make [| seed |] in
+      let actions =
+        List.init n_actions (fun _ -> random_action st targets axes)
+      in
+      let one = Staged.of_func mesh func in
+      let legal = apply_one_at_a_time one actions in
+      let batch = Staged.of_func mesh func in
+      ignore (Staged.apply batch legal);
+      let digest s = Cache.digest_func (Staged.to_func s) in
+      Staged.to_string batch = Staged.to_string one
+      && digest batch = digest one)
+
+(* An illegal action in the middle of a batch raises and leaves the
+   module untouched, whether it is illegal on its own (unknown axis) or
+   only after an earlier action of the same batch (deep tiling). *)
+let test_batch_all_or_nothing () =
+  let check_rejected what staged actions =
+    let before = Staged.to_string staged in
+    (match Staged.apply staged actions with
+    | _ -> Alcotest.failf "%s: batch applied" what
+    | exception Staged.Action_error _ -> ());
+    Alcotest.(check string) (what ^ ": module unchanged") before
+      (Staged.to_string staged)
+  in
+  for seed = 0 to 40 do
+    let func, mesh, targets, axes = seeding_case seed in
+    let st = Random.State.make [| seed |] in
+    let legal =
+      apply_one_at_a_time (Staged.of_func mesh func)
+        (List.init 6 (fun _ -> random_action st targets axes))
+    in
+    let k = List.length legal / 2 in
+    let bad = Staged.Tile { value = targets.(0); dim = 0; axis = "no-such-axis" } in
+    check_rejected
+      (Printf.sprintf "seed %d" seed)
+      (Staged.of_func mesh func)
+      (List.filteri (fun i _ -> i < k) legal
+      @ (bad :: List.filteri (fun i _ -> i >= k) legal))
+  done;
+  let b = Builder.create "f" in
+  let x = Builder.param b "x" [| 4; 4 |] Dtype.F32 in
+  let func = Builder.finish b [ Builder.add2 b x x ] in
+  let mesh = Mesh.create [ ("a", 2); ("b", 4) ] in
+  check_rejected "deep tiling" (Staged.of_func mesh func)
+    [
+      Staged.Tile { value = x; dim = 0; axis = "a" };
+      Staged.Tile { value = x; dim = 0; axis = "b" };
+      Staged.Atomic { value = x; axis = "a" };
+    ];
+  let staged = Staged.of_func mesh func in
+  match
+    Staged.apply staged
+      [
+        Staged.Tile { value = x; dim = 0; axis = "a" };
+        Staged.Tile { value = x; dim = 1; axis = "b" };
+      ]
+  with
+  | [ s1; s2 ] ->
+      Alcotest.(check bool) "chained seeds" true (s1.Value.id <> s2.Value.id)
+  | _ -> Alcotest.fail "expected one result per action"
+
 let mesh_tests =
   let open QCheck in
   [
@@ -209,5 +330,10 @@ let () =
     [
       ("tmr-soundness", tmr_soundness_tests);
       ("pipeline", [ QCheck_alcotest.to_alcotest random_pipeline_test ]);
+      ( "batch-seeding",
+        [
+          QCheck_alcotest.to_alcotest batch_seeding_test;
+          Alcotest.test_case "all-or-nothing" `Quick test_batch_all_or_nothing;
+        ] );
       ("mesh", mesh_tests);
     ]

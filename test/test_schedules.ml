@@ -134,6 +134,29 @@ let test_t_equivalence () =
         (Literal.max_abs_diff a b < 1e-3))
     (List.combine reference spmd)
 
+(* Plan digests pinned bit for bit: a change to how tactics are seeded,
+   propagated or lowered that moves any of these is a plan change, not a
+   refactor. *)
+let test_golden_digests () =
+  let module Zoo = Partir_serve.Zoo in
+  List.iter
+    (fun (model, schedule, mesh, expected) ->
+      let p = Zoo.prepare model in
+      let r =
+        Schedule.jit ~ties:p.Zoo.ties (Zoo.parse_mesh mesh) p.Zoo.func
+          (Zoo.tactics_of p Partir_sim.Hardware.tpu_v3 16 schedule)
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "%s %s on %s" model schedule mesh)
+        expected
+        (Partir_serve.Cache.plan_digest r.Schedule.program))
+    [
+      ("unet-small", "bp,z3", "batch=2,model=2", "65515d0a200627d67c09c571072c0893");
+      ("t32-small", "bp,mp,z3", "batch=4,model=2", "5b6d4002dbade453df20a931c26f316a");
+      ("it32-small", "bp,mp", "batch=4,model=2", "983534b81f7da1fd3a127e9153df9754");
+      ("gns-small", "es", "batch=4", "299c972810ce3b682175292f3dd85ad4");
+    ]
+
 let () =
   Alcotest.run "schedules"
     [
@@ -146,4 +169,5 @@ let () =
           Alcotest.test_case "BP+MP+Z3" `Quick test_t_bp_mp_z3;
           Alcotest.test_case "equivalence" `Quick test_t_equivalence;
         ] );
+      ("plans", [ Alcotest.test_case "golden digests" `Quick test_golden_digests ]);
     ]

@@ -336,24 +336,52 @@ let test_debug_hooks () =
       ignore (Staged.tile t ~value:x ~dim:0 ~axis:"a");
       ignore (Propagate.run t);
       ignore (Lower.lower t);
-      (* ...and a corrupted nest must raise Check_error from the next
-         lowering. *)
-      let t2 = staged_matmul ~mesh ~m:4 ~k:4 in
-      (match t2.Staged.body with
-      | [ sop ] ->
-          sop.Staged.nest <-
-            [
-              {
-                Action.axis = "zz";
-                operand_dims = [| Some 0; None |];
-                result_actions = [| Action.Tile 0 |];
-              };
-            ]
-      | _ -> Alcotest.fail "unexpected staged body");
-      match Staged.tile t2 ~value:(Option.get (Staged.find_value t2 "y")) ~dim:0 ~axis:"a" with
+      (* ...and a corrupted nest must raise Check_error from the hook of
+         the next action. *)
+      let corrupted () =
+        let t = staged_matmul ~mesh ~m:4 ~k:4 in
+        (match t.Staged.body with
+        | [ sop ] ->
+            sop.Staged.nest <-
+              [
+                {
+                  Action.axis = "zz";
+                  operand_dims = [| Some 0; None |];
+                  result_actions = [| Action.Tile 0 |];
+                };
+              ]
+        | _ -> Alcotest.fail "unexpected staged body");
+        t
+      in
+      let t2 = corrupted () in
+      (match Staged.tile t2 ~value:(Option.get (Staged.find_value t2 "y")) ~dim:0 ~axis:"a" with
       | _ -> Alcotest.fail "debug hook did not fire on a corrupted nest"
       | exception Analysis.Check_error diags ->
-          check_has_code "hook diagnostics" "S001" diags)
+          check_has_code "hook diagnostics" "S001" diags);
+      (* A multi-action batch runs the hook once, after it is committed. *)
+      let t3 = corrupted () in
+      let find = Staged.find_value t3 in
+      let batch =
+        [
+          Staged.Tile { value = Option.get (find "y"); dim = 0; axis = "a" };
+          Staged.Atomic { value = Option.get (find "x"); axis = "a" };
+        ]
+      in
+      let armed = !Staged.debug_hook and calls = ref 0 in
+      Staged.debug_hook :=
+        (fun t ->
+          incr calls;
+          Alcotest.(check int) "both seeds committed" 2
+            (List.length t.Staged.body - 1);
+          armed t);
+      Fun.protect
+        ~finally:(fun () -> Staged.debug_hook := armed)
+        (fun () ->
+          match Staged.apply t3 batch with
+          | _ -> Alcotest.fail "debug hook did not fire on a corrupted batch"
+          | exception Analysis.Check_error diags ->
+              check_has_code "batch hook diagnostics" "S001" diags);
+      Alcotest.(check int) "hook ran once per batch" 1 !calls)
 
 let () =
   Alcotest.run "verify"
