@@ -12,7 +12,16 @@ module D = Diagnostic
    member's next event is the same collective over the same group. A
    mismatched, misordered, or wrongly-grouped collective stalls the
    simulation — the deadlock class the fault-injection runtime can only
-   observe as a timeout, reported here statically. *)
+   observe as a timeout, reported here statically.
+
+   [trace] and [check_traces] are that simulation, kept as the reference.
+   [func] does not run it: every device of an SPMD function executes the
+   same collective sequence, and traces differ only in their groups,
+   which depend on the collective's axis set alone. The replay finishes
+   exactly when, for each distinct axis set (a replica-group class),
+   every device's group contains itself, names only mesh devices, and
+   equals the group of each member — so [func] checks that once per
+   class instead of replaying every device. *)
 
 type event = { path : string; desc : string; group : int list }
 
@@ -37,30 +46,31 @@ let dim_axes_to_string dim_axes =
           dim_axes)
      |> List.filter (( <> ) ""))
 
+(* The mesh axes a communicating collective spans. *)
+let comm_axes (op : Op.t) =
+  match op.kind with
+  | Op.All_reduce { axes; _ } | Op.All_to_all { axes; _ } ->
+      Some (List.map fst axes)
+  | Op.All_gather { dim_axes } | Op.Reduce_scatter { dim_axes; _ } ->
+      Some (Array.to_list dim_axes |> List.concat |> List.map fst)
+  | _ -> None
+
 (* The communication signature of a collective: what must agree across the
    replica group for the exchange to be well-formed. *)
-let signature (op : Op.t) =
+let describe (op : Op.t) =
   match op.kind with
   | Op.All_reduce { axes; reduce } ->
-      Some
-        ( Printf.sprintf "all_reduce %s {%s}" (reduce_name reduce)
-            (pairs_to_string axes),
-          List.map fst axes )
+      Printf.sprintf "all_reduce %s {%s}" (reduce_name reduce)
+        (pairs_to_string axes)
   | Op.All_gather { dim_axes } ->
-      Some
-        ( Printf.sprintf "all_gather %s" (dim_axes_to_string dim_axes),
-          Array.to_list dim_axes |> List.concat |> List.map fst )
+      Printf.sprintf "all_gather %s" (dim_axes_to_string dim_axes)
   | Op.Reduce_scatter { reduce; dim_axes } ->
-      Some
-        ( Printf.sprintf "reduce_scatter %s %s" (reduce_name reduce)
-            (dim_axes_to_string dim_axes),
-          Array.to_list dim_axes |> List.concat |> List.map fst )
+      Printf.sprintf "reduce_scatter %s %s" (reduce_name reduce)
+        (dim_axes_to_string dim_axes)
   | Op.All_to_all { src_dim; dst_dim; axes } ->
-      Some
-        ( Printf.sprintf "all_to_all %d->%d {%s}" src_dim dst_dim
-            (pairs_to_string axes),
-          List.map fst axes )
-  | _ -> None
+      Printf.sprintf "all_to_all %d->%d {%s}" src_dim dst_dim
+        (pairs_to_string axes)
+  | _ -> Op.kind_name op.kind
 
 (* Recorded (axis, size) pairs of any collective, communicating or not. *)
 let recorded_pairs (op : Op.t) =
@@ -72,6 +82,7 @@ let recorded_pairs (op : Op.t) =
       Array.to_list dim_axes |> List.concat
   | _ -> []
 
+(* [path] is forced only when a diagnostic needs it. *)
 let check_op_axes ~add ~mesh ~path (op : Op.t) =
   let pairs = recorded_pairs op in
   if pairs <> [] then begin
@@ -80,22 +91,30 @@ let check_op_axes ~add ~mesh ~path (op : Op.t) =
       (fun (axis, size) ->
         if Hashtbl.mem seen axis then
           add
-            (D.error ~code:"CL003" ~path
+            (D.error ~code:"CL003" ~path:(Lazy.force path)
                "collective lists mesh axis %S more than once in one group"
                axis)
         else Hashtbl.replace seen axis ();
         if not (Mesh.has_axis mesh axis) then
           add
-            (D.error ~code:"CL001" ~path
+            (D.error ~code:"CL001" ~path:(Lazy.force path)
                "collective names unknown mesh axis %S (mesh %s)" axis
                (Mesh.to_string mesh))
         else if Mesh.axis_size mesh axis <> size then
           add
-            (D.error ~code:"CL002" ~path
+            (D.error ~code:"CL002" ~path:(Lazy.force path)
                "collective records size %d for mesh axis %S, mesh has %d"
                size axis (Mesh.axis_size mesh axis)))
       pairs
   end
+
+(* Sorted linear ids of [device]'s replica group over [axes]. *)
+let group_ids mesh device axes =
+  Mesh.group_peers mesh device axes
+  |> List.map (Mesh.linear_of_device mesh)
+  |> List.sort_uniq compare
+
+let peers mesh axes d = group_ids mesh (Mesh.device_of_linear mesh d) axes
 
 let trace mesh (f : Func.t) =
   let n = Mesh.num_devices mesh in
@@ -104,14 +123,10 @@ let trace mesh (f : Func.t) =
       (fun (acc, i) (op : Op.t) ->
         let path = op_path parent i op in
         let acc =
-          match signature op with
-          | Some (desc, axes) when List.for_all (Mesh.has_axis mesh) axes ->
-              let group =
-                Mesh.group_peers mesh device axes
-                |> List.map (Mesh.linear_of_device mesh)
-                |> List.sort_uniq compare
-              in
-              { path; desc; group } :: acc
+          match comm_axes op with
+          | Some axes when List.for_all (Mesh.has_axis mesh) axes ->
+              { path; desc = describe op; group = group_ids mesh device axes }
+              :: acc
           | _ -> acc
         in
         let acc =
@@ -126,6 +141,25 @@ let trace mesh (f : Func.t) =
   Array.init n (fun d ->
       let device = Mesh.device_of_linear mesh d in
       List.rev (walk f.Func.name device [] f.Func.body))
+
+let group_to_string g = String.concat "," (List.map string_of_int g)
+
+let outside_mesh ~path ~desc ~n group =
+  D.error ~code:"CL004" ~path
+    "replica group [%s] of %S names devices outside the %d-device mesh"
+    (group_to_string group) desc n
+
+let omits_itself ~path ~desc d group =
+  D.error ~code:"CL004" ~path
+    "device %d executes %S with replica group [%s] that does not include \
+     itself"
+    d desc (group_to_string group)
+
+let disagree ~path ~desc d m group group_m =
+  D.error ~code:"CL004" ~path
+    "device %d and device %d execute %S with different replica groups ([%s] \
+     vs [%s]) — the groups do not partition the mesh"
+    d m desc (group_to_string group) (group_to_string group_m)
 
 let check_traces mesh (traces : event list array) =
   let diags = ref [] in
@@ -146,21 +180,11 @@ let check_traces mesh (traces : event list array) =
             List.exists (fun m -> m < 0 || m >= n) e.group
           in
           if bad_member then begin
-            add
-              (D.error ~code:"CL004" ~path:e.path
-                 "replica group [%s] of %S names devices outside the %d-device \
-                  mesh"
-                 (String.concat "," (List.map string_of_int e.group))
-                 e.desc n);
+            add (outside_mesh ~path:e.path ~desc:e.desc ~n e.group);
             valid.(d) <- false
           end;
           if not (List.mem d e.group) then begin
-            add
-              (D.error ~code:"CL004" ~path:e.path
-                 "device %d executes %S with replica group [%s] that does not \
-                  include itself"
-                 d e.desc
-                 (String.concat "," (List.map string_of_int e.group)));
+            add (omits_itself ~path:e.path ~desc:e.desc d e.group);
             valid.(d) <- false
           end)
         events)
@@ -212,9 +236,7 @@ let check_traces mesh (traces : event list array) =
                   (D.error ~code:"CL006" ~path:e.path
                      "device %d waits on %S with group [%s] but device %d has \
                       already finished its program"
-                     d e.desc
-                     (String.concat "," (List.map string_of_int e.group))
-                     m)
+                     d e.desc (group_to_string e.group) m)
             | Some em when em.desc <> e.desc ->
                 add
                   (D.error ~code:"CL005" ~path:e.path
@@ -222,14 +244,7 @@ let check_traces mesh (traces : event list array) =
                       member %d is at %S (%s)"
                      d e.desc m em.desc em.path)
             | Some em ->
-                add
-                  (D.error ~code:"CL004" ~path:e.path
-                     "device %d and device %d execute %S with different \
-                      replica groups ([%s] vs [%s]) — the groups do not \
-                      partition the mesh"
-                     d m e.desc
-                     (String.concat "," (List.map string_of_int e.group))
-                     (String.concat "," (List.map string_of_int em.group))))
+                add (disagree ~path:e.path ~desc:e.desc d m e.group em.group))
         | None ->
             (* All members agree yet nothing progressed: a cross-group wait
                cycle. *)
@@ -419,25 +434,77 @@ let async_events (sch : Comm_schedule.t) =
 let schedule (p : Lower.program) =
   check_async (async_events (Comm_schedule.of_program p))
 
-let max_simulated_devices = 128
-
-let func ~mesh (f : Func.t) =
+(* One pass over the function: the static per-op axis checks, and the
+   replica-group classes — each distinct sorted axis set of a
+   communicating collective, with the path and signature of its first
+   collective, in program order. *)
+let scan ~mesh (f : Func.t) =
   let diags = ref [] in
   let add d = diags := d :: !diags in
+  let seen = Hashtbl.create 8 in
+  let classes = ref [] in
   let rec walk parent ops =
     List.iteri
       (fun i (op : Op.t) ->
-        let path = op_path parent i op in
+        let path = lazy (op_path (Lazy.force parent) i op) in
         check_op_axes ~add ~mesh ~path op;
+        (match comm_axes op with
+        | Some axes ->
+            let axes = List.sort compare axes in
+            if not (Hashtbl.mem seen axes) then begin
+              Hashtbl.add seen axes ();
+              classes := (axes, Lazy.force path, describe op) :: !classes
+            end
+        | None -> ());
         match op.region with Some r -> walk path r.body | None -> ())
       ops
   in
-  walk f.Func.name f.Func.body;
-  let static = D.sort (List.rev !diags) in
-  if
-    D.errors static <> []
-    || Mesh.num_devices mesh > max_simulated_devices
-  then static
+  walk (Lazy.from_val f.Func.name) f.Func.body;
+  (D.sort (List.rev !diags), List.rev !classes)
+
+(* The partition property, once per class: scan devices in order and
+   report the first that names a device outside the mesh, omits itself,
+   or disagrees with a member. Groups are interned so each agreement test
+   is one integer compare: O(devices x group size) per class. *)
+let check_class ~n ~group (axes, path, desc) =
+  let groups = Array.init n (group axes) in
+  let interned = Hashtbl.create 16 in
+  let id =
+    Array.map
+      (fun g ->
+        match Hashtbl.find_opt interned g with
+        | Some i -> i
+        | None ->
+            let i = Hashtbl.length interned in
+            Hashtbl.add interned g i;
+            i)
+      groups
+  in
+  let rec from d =
+    if d >= n then None
+    else
+      let g = groups.(d) in
+      if List.exists (fun m -> m < 0 || m >= n) g then
+        Some (outside_mesh ~path ~desc ~n g)
+      else if not (List.mem d g) then Some (omits_itself ~path ~desc d g)
+      else
+        match List.find_opt (fun m -> id.(m) <> id.(d)) g with
+        | Some m -> Some (disagree ~path ~desc d m g groups.(m))
+        | None -> from (d + 1)
+  in
+  from 0
+
+let func ?group ~mesh (f : Func.t) =
+  let static, classes = scan ~mesh f in
+  if D.errors static <> [] then static
+  else
+    let group = Option.value group ~default:(peers mesh) in
+    let n = Mesh.num_devices mesh in
+    static @ D.sort (List.filter_map (check_class ~n ~group) classes)
+
+let replay ~mesh (f : Func.t) =
+  let static, _ = scan ~mesh f in
+  if D.errors static <> [] then static
   else static @ check_traces mesh (trace mesh f)
 
 let program (p : Lower.program) = func ~mesh:p.Lower.mesh p.Lower.func

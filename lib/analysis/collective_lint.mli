@@ -1,11 +1,13 @@
 (** CollectiveLint: static detection of collective deadlocks.
 
-    Reduces each device's program to its ordered sequence of communicating
-    collectives and runs a rendezvous simulation: a replica group advances
-    only when every member's next event is the same collective over the
-    same group. Mismatched or misordered collectives and replica groups
-    that do not partition the mesh stall the simulation and are reported
-    as diagnostics.
+    The reference semantics reduces each device's program to its ordered
+    sequence of communicating collectives and runs a rendezvous
+    simulation: a replica group advances only when every member's next
+    event is the same collective over the same group. Mismatched or
+    misordered collectives and replica groups that do not partition the
+    mesh stall the simulation and are reported as diagnostics. On an SPMD
+    function every device runs the same sequence, so {!func} reaches the
+    same verdict by checking each replica-group class once.
 
     Diagnostic codes (documented in DESIGN.md section 9):
     - [CL001] collective names an unknown mesh axis
@@ -31,17 +33,42 @@ type event = { path : string; desc : string; group : int list }
 
 val trace : Mesh.t -> Func.t -> event list array
 (** Per-device collective sequences of an SPMD function ([all_slice] is
-    device-local and excluded; [For] bodies contribute one iteration). *)
+    device-local and excluded; [For] bodies contribute one iteration).
+    O(devices x ops): the reference input for {!check_traces}, not used by
+    {!func}. *)
 
 val check_traces : Mesh.t -> event list array -> Diagnostic.t list
 (** Rendezvous-simulate hand-built or extracted traces. Used directly by
     tests to plant misordered sequences; [trace]d SPMD programs are
     order-identical by construction, so on those this mainly exercises the
-    group checks. *)
+    group checks. Together with {!trace} it is the reference {!func} is
+    tested against. *)
 
-val func : mesh:Mesh.t -> Func.t -> Diagnostic.t list
-(** Static per-op axis checks (CL001–CL003) plus, when they pass and the
-    mesh has at most 128 devices, the rendezvous simulation. *)
+val peers : Mesh.t -> string list -> int -> int list
+(** [peers mesh axes d]: sorted linear ids of linear device [d]'s replica
+    group over [axes] ({!Mesh.group_peers}) — the group function [func]
+    uses by default and [trace] records. *)
+
+val func :
+  ?group:(string list -> int -> int list) ->
+  mesh:Mesh.t ->
+  Func.t ->
+  Diagnostic.t list
+(** Static per-op axis checks (CL001–CL003) plus, when they pass, the
+    replica-group class check at any mesh size. A class is a distinct
+    sorted axis set of the communicating collectives; for each, the
+    groups [group axes d] of every linear device [d] must contain [d],
+    name only mesh devices, and equal the group of every member,
+    otherwise one CL004 names the first offending device and the class's
+    first collective. The rendezvous replay finishes exactly when this
+    holds, so on an SPMD function [func] agrees with {!replay}. Cost
+    O(ops + classes x devices x group size). [group] defaults to
+    [peers mesh]; tests plant broken ones. *)
+
+val replay : mesh:Mesh.t -> Func.t -> Diagnostic.t list
+(** The reference for {!func}: the same static checks, then
+    [check_traces mesh (trace mesh f)] in place of the class check.
+    O(devices x ops); for differential testing. *)
 
 val program : Partir_spmd.Lower.program -> Diagnostic.t list
 (** [func] applied to a lowered program's device-local function. *)

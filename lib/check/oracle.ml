@@ -349,6 +349,20 @@ let check_verified label diags =
   | errs ->
       failf label "%s" (Partir_analysis.Diagnostic.list_to_string errs)
 
+(* Collective_lint's replica-group class check reports exactly what the
+   per-device rendezvous replay it stands in for reports. *)
+let check_lint_classes (programs : Lower.program list) =
+  let module Lint = Partir_analysis.Collective_lint in
+  let show = Partir_analysis.Diagnostic.list_to_string in
+  List.iter
+    (fun (p : Lower.program) ->
+      let mesh = p.Lower.mesh and f = p.Lower.func in
+      let classes = Lint.func ~mesh f and replay = Lint.replay ~mesh f in
+      if classes <> replay then
+        failf "lint-classes" "class check:\n%s\nreplay:\n%s" (show classes)
+          (show replay))
+    programs
+
 let run_case_exn (c : Gen.t) =
   let func, mesh, pool = Gen.build c in
   let args = Gen.inputs c func in
@@ -364,6 +378,7 @@ let run_case_exn (c : Gen.t) =
   let p1 = { p0 with Lower.func = Fusion.run p0.Lower.func } in
   check_verified "verifier-spmd" (Partir_analysis.Analysis.check_program p0);
   check_verified "verifier-fused" (Partir_analysis.Analysis.check_program p1);
+  check_lint_classes [ p0; p1 ];
   check_outputs "spmd-unfused" ~reference (Spmd_interp.run p0 args);
   check_outputs "spmd-fused" ~reference (Spmd_interp.run p1 args);
   let sp1 = Plan.Spmd.compile p1 in

@@ -16,6 +16,9 @@
       fault-free programs, for both cost profiles;
     - the static analyzers ([Partir_analysis]) report zero diagnostics on
       the staged module and on both lowered programs;
+    - on both lowered programs, [Collective_lint.func]'s replica-group
+      class check reports exactly what the per-device rendezvous replay
+      [Collective_lint.replay] reports;
     - the schedule's tile/atomic actions give the same module applied as
       one [Staged.apply] batch as applied one at a time, and a batch
       holding an illegal action raises and changes nothing. *)
@@ -26,7 +29,8 @@ type failure = {
           ["spmd-fused"], ["gspmd"], ["fusion-collective-count"],
           ["fusion-comm-time"], ["fusion-idempotent"],
           ["comm-latency-floor"], ["engine-parity"], ["verifier-staged"],
-          ["verifier-spmd"], ["verifier-fused"], ["batch-seeding"], or
+          ["verifier-spmd"], ["verifier-fused"], ["lint-classes"],
+          ["batch-seeding"], or
           ["exception"] *)
   detail : string;
 }

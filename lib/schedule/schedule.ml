@@ -135,8 +135,12 @@ let jit ?hardware ?(ties = []) ?(single_tactic = false) mesh (f : Func.t)
   let t_start = Unix.gettimeofday () in
   let staged = Staged.of_func mesh f in
   let reports = ref [] in
+  (* Each tactic's report lowers the module as that tactic left it; the
+     last one is already the final program. *)
+  let last = ref None in
   let snapshot label conflicts t0 =
     let program = Lower.lower ~ties staged in
+    last := Some program;
     let census = Census.of_program program in
     let estimate =
       Option.map (fun hw -> Cost_model.run Cost_model.analytic hw program) hardware
@@ -176,7 +180,9 @@ let jit ?hardware ?(ties = []) ?(single_tactic = false) mesh (f : Func.t)
             let conflicts = Propagate.run staged in
             snapshot label conflicts t0)
       tactics;
-  let program = Lower.lower ~ties staged in
+  let program =
+    match !last with Some p -> p | None -> Lower.lower ~ties staged
+  in
   let partition_seconds = Unix.gettimeofday () -. t_start in
   {
     staged;

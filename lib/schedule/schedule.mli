@@ -59,7 +59,10 @@ type result = {
   staged : Partir_core.Staged.t;
   program : Partir_spmd.Lower.program;
   reports : tactic_report list;
-  partition_seconds : float;  (** total tactic + lowering time *)
+  partition_seconds : float;
+      (** wall time of the whole jit: every tactic with its report, which
+          lowers the module once per tactic (the last tactic's lowering is
+          [program]), or the one lowering of a tactic-free jit *)
   input_shardings : (string * Partir_spmd.Layout.t) list;
   output_shardings : Partir_spmd.Layout.t list;
 }
@@ -75,5 +78,7 @@ val jit :
 (** The [partir.jit] analogue: stage, apply tactics (propagating after each
     unless [single_tactic] — the PartIR-st ablation of §7.4, which
     amalgamates every manual tactic and propagates once), lower to SPMD,
-    and collect per-tactic metadata. [hardware] enables simulator estimates
+    and collect per-tactic metadata. Each report lowers the module once and
+    the last report's program is the result, so k >= 1 tactics cost k
+    lowerings (one under [single_tactic]). [hardware] enables simulator estimates
     in the reports. [ties] pins training-state output shardings. *)

@@ -9,7 +9,11 @@
       temporal interpreter, and lockstep multi-device SPMD execution.
    3. Batched seeding: random action lists on random partcheck programs
       give the same module applied as one [Staged.apply] batch as applied
-      one at a time; batches are all-or-nothing. *)
+      one at a time; batches are all-or-nothing.
+   4. Collective lint by replica-group class: on lowered partcheck
+      programs it reports what the per-device rendezvous replay reports,
+      and under planted group functions it fails exactly when the replay
+      over the same groups fails. *)
 
 open Partir_tensor
 open Partir_hlo
@@ -21,6 +25,9 @@ module Spmd_interp = Partir_spmd.Spmd_interp
 module Mlp = Partir_models.Mlp
 module Gen = Partir_check.Gen
 module Cache = Partir_serve.Cache
+module Oracle = Partir_check.Oracle
+module Fusion = Partir_spmd.Fusion
+module Collective_lint = Partir_analysis.Collective_lint
 
 let random_literal st (v : Value.t) =
   Literal.init v.Value.ty.Value.dtype v.Value.ty.Value.shape (fun _ ->
@@ -304,6 +311,76 @@ let test_batch_all_or_nothing () =
       Alcotest.(check bool) "chained seeds" true (s1.Value.id <> s2.Value.id)
   | _ -> Alcotest.fail "expected one result per action"
 
+(* Both lowered programs of a partcheck case, unfused and fused. *)
+let lowered_case seed =
+  let c = Gen.generate ~seed in
+  let func, mesh, pool = Gen.build c in
+  let staged = Staged.of_func mesh func in
+  ignore (Oracle.apply_schedule c staged pool);
+  let p0 = Lower.lower ~fuse:false staged in
+  [ p0; { p0 with Lower.func = Fusion.run p0.Lower.func } ]
+
+let lint_classes_test =
+  let open QCheck in
+  Test.make ~name:"class check = per-device replay on lowered programs"
+    ~count:200 (int_range 0 100000) (fun seed ->
+      List.for_all
+        (fun (p : Lower.program) ->
+          let mesh = p.Lower.mesh and f = p.Lower.func in
+          Collective_lint.func ~mesh f = Collective_lint.replay ~mesh f)
+        (lowered_case seed))
+
+(* A planted group function rewrites the groups of one victim device (or
+   of every device), given the class's true group function, so per-device
+   traces and the class check see the same groups. *)
+let plant st ~n =
+  let victim = Random.State.int st n in
+  let other = Random.State.int st n in
+  match Random.State.int st 7 with
+  | 0 -> fun truth d -> truth d
+  | 1 ->
+      fun truth d ->
+        if d = victim then List.filter (( <> ) d) (truth d) else truth d
+  | 2 -> fun truth d -> if d = victim then truth d @ [ n ] else truth d
+  | 3 -> fun truth d -> if d = victim then [ d ] else truth d
+  | 4 ->
+      fun truth d ->
+        if d = victim then List.sort_uniq compare (other :: truth d) else truth d
+  | 5 -> fun truth d -> truth (if d = victim then other else d)
+  | _ -> fun _ d -> [ d ]
+
+let planted_groups_test =
+  let open QCheck in
+  Test.make ~name:"planted groups: class check fails iff the replay fails"
+    ~count:200 (int_range 0 100000) (fun seed ->
+      let st = Random.State.make [| seed |] in
+      List.for_all
+        (fun (p : Lower.program) ->
+          let mesh = p.Lower.mesh and f = p.Lower.func in
+          let planted = plant st ~n:(Mesh.num_devices mesh) in
+          let classes =
+            Collective_lint.func
+              ~group:(fun axes -> planted (Collective_lint.peers mesh axes))
+              ~mesh f
+          in
+          (* Event k is the same collective on every device. *)
+          let traces = Array.map Array.of_list (Collective_lint.trace mesh f) in
+          let traces =
+            Array.mapi
+              (fun d events ->
+                List.mapi
+                  (fun k (e : Collective_lint.event) ->
+                    let truth x = traces.(x).(k).Collective_lint.group in
+                    { e with Collective_lint.group = planted truth d })
+                  (Array.to_list events))
+              traces
+          in
+          List.for_all
+            (fun (d : Partir_analysis.Diagnostic.t) -> d.code = "CL004")
+            classes
+          && (classes = []) = (Collective_lint.check_traces mesh traces = []))
+        (lowered_case seed))
+
 let mesh_tests =
   let open QCheck in
   [
@@ -334,6 +411,11 @@ let () =
         [
           QCheck_alcotest.to_alcotest batch_seeding_test;
           Alcotest.test_case "all-or-nothing" `Quick test_batch_all_or_nothing;
+        ] );
+      ( "lint-classes",
+        [
+          QCheck_alcotest.to_alcotest lint_classes_test;
+          QCheck_alcotest.to_alcotest planted_groups_test;
         ] );
       ("mesh", mesh_tests);
     ]

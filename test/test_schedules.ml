@@ -157,6 +157,40 @@ let test_golden_digests () =
       ("gns-small", "es", "batch=4", "299c972810ce3b682175292f3dd85ad4");
     ]
 
+(* Each tactic's report lowers the module once and the last one is the
+   result: k >= 1 tactics lower exactly k times (once under
+   [single_tactic]), a tactic-free jit once. The golden digests above pin
+   that the reused program is the plan. *)
+let test_one_lowering_per_tactic () =
+  let step = Lazy.force t_step in
+  let tactics =
+    [
+      Strategies.bp ~axis:"batch" ~inputs:transformer_inputs ();
+      Strategies.transformer_mp ~axis:"model";
+      Strategies.transformer_z3 ~axis:"batch";
+    ]
+  in
+  let module Lower = Partir_spmd.Lower in
+  let lowerings ?single_tactic tactics =
+    let armed = !Lower.debug_hook and calls = ref 0 in
+    Lower.debug_hook :=
+      (fun p ->
+        incr calls;
+        armed p);
+    Fun.protect
+      ~finally:(fun () -> Lower.debug_hook := armed)
+      (fun () ->
+        ignore
+          (Schedule.jit ?single_tactic ~ties:step.Train.ties (mesh2d ())
+             step.Train.func tactics));
+    !calls
+  in
+  for k = 0 to List.length tactics do
+    let calls = lowerings (List.filteri (fun i _ -> i < k) tactics) in
+    Alcotest.(check int) (Printf.sprintf "%d tactics" k) (max 1 k) calls
+  done;
+  Alcotest.(check int) "single tactic" 1 (lowerings ~single_tactic:true tactics)
+
 let () =
   Alcotest.run "schedules"
     [
@@ -169,5 +203,10 @@ let () =
           Alcotest.test_case "BP+MP+Z3" `Quick test_t_bp_mp_z3;
           Alcotest.test_case "equivalence" `Quick test_t_equivalence;
         ] );
-      ("plans", [ Alcotest.test_case "golden digests" `Quick test_golden_digests ]);
+      ( "plans",
+        [
+          Alcotest.test_case "golden digests" `Quick test_golden_digests;
+          Alcotest.test_case "one lowering per tactic" `Quick
+            test_one_lowering_per_tactic;
+        ] );
     ]

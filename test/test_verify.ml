@@ -277,6 +277,80 @@ let test_collective_bad_axis () =
     (Collective_lint.func ~mesh
        (mk (Op.All_reduce { axes = [ ("d", 4) ]; reduce = Op.Rsum })))
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+(* The class check behind [Collective_lint.func], through its [group]
+   seam: a group function that omits the device itself, names a device
+   outside the mesh, or disagrees between members must yield CL004 at any
+   mesh size — 512 devices included, which the per-device replay never
+   reached. *)
+let test_planted_group_functions () =
+  List.iter
+    (fun axes ->
+      let mesh = Mesh.create axes in
+      let n = Mesh.num_devices mesh in
+      let names = List.map fst axes in
+      let all_reduce group_axes v =
+        Op.make
+          (Op.All_reduce
+             {
+               axes = List.map (fun a -> (a, Mesh.axis_size mesh a)) group_axes;
+               reduce = Op.Rsum;
+             })
+          [ v ] ()
+      in
+      (* Two classes: one axis at top level, every axis inside a loop. *)
+      let x = Value.fresh ~name:"x" (f32 [| 4; 4 |]) in
+      let carry = Value.fresh ~name:"acc" (f32 [| 4; 4 |]) in
+      let inner = all_reduce names carry in
+      let loop =
+        Op.make
+          (Op.For { trip_count = 2; n_carries = 1 })
+          [ x ]
+          ~region:
+            {
+              Op.params = [ Value.fresh ~name:"i" (ty Shape.scalar Dtype.I32); carry ];
+              body = [ inner ];
+              yields = inner.Op.results;
+            }
+          ()
+      in
+      let f =
+        {
+          Func.name = "groups";
+          params = [ x ];
+          body = [ all_reduce [ List.hd names ] x; loop ];
+          results = loop.Op.results;
+        }
+      in
+      let peers = Collective_lint.peers mesh in
+      let label what = Printf.sprintf "%s on %s" what (Mesh.to_string mesh) in
+      check_clean (label "mesh groups") (Collective_lint.func ~mesh f);
+      (* One CL004 per replica-group class (the function has two). *)
+      let planted what wording group =
+        let diags = Collective_lint.func ~group ~mesh f in
+        Alcotest.(check (list string)) (label what) [ "CL004"; "CL004" ]
+          (codes diags);
+        List.iter
+          (fun (d : Diagnostic.t) ->
+            if not (contains d.Diagnostic.message wording) then
+              Alcotest.failf "%s: %S lacks %S" (label what) d.Diagnostic.message
+                wording)
+          diags
+      in
+      planted "group omits itself" "does not include itself" (fun a d ->
+          List.filter (( <> ) d) (peers a d));
+      planted "group names an outside device" "outside the" (fun a d ->
+          peers a d @ [ n ]);
+      planted "members disagree" "different replica groups" (fun a d ->
+          if d = n - 1 then [ d ] else peers a d))
+    [ [ ("a", 2); ("b", 2) ]; [ ("batch", 32); ("model", 16) ] ]
+
 (* {1 The real pipeline verifies clean} *)
 
 let check_jit_clean name mesh (step : Models.Train.step) tactics =
@@ -295,6 +369,28 @@ let test_mlp_clean () =
       Strategies.bp ~axis:"batch" ~inputs:[ "x"; "target" ] ();
       Strategies.transformer_mp ~axis:"model";
     ]
+
+(* 512 devices: the lint checks every replica-group class and finds the
+   real groups sound. *)
+let test_mlp_512_devices () =
+  let module Zoo = Partir_serve.Zoo in
+  let p = Zoo.prepare "mlp" in
+  let mesh = Zoo.parse_mesh "batch=32,model=16" in
+  let r =
+    jit ~ties:p.Zoo.ties mesh p.Zoo.func
+      (Zoo.tactics_of p Partir_sim.Hardware.tpu_v3 16 "bp,mp")
+  in
+  let program = r.Schedule.program in
+  check_clean "mlp bp,mp on 32x16" (Collective_lint.program program);
+  let calls = ref 0 in
+  let group axes d =
+    incr calls;
+    Collective_lint.peers mesh axes d
+  in
+  check_clean "mlp bp,mp on 32x16 (counted)"
+    (Collective_lint.func ~group ~mesh program.Lower.func);
+  if !calls < 512 then
+    Alcotest.failf "class check asked for %d groups, expected >= 512" !calls
 
 let test_transformer_clean () =
   let mesh = Mesh.create [ ("batch", 4); ("model", 2) ] in
@@ -418,10 +514,14 @@ let () =
             test_replica_group_missing_device;
           Alcotest.test_case "peer exhausted" `Quick test_peer_exhausted;
           Alcotest.test_case "bad collective axes" `Quick test_collective_bad_axis;
+          Alcotest.test_case "planted group functions" `Quick
+            test_planted_group_functions;
         ] );
       ( "pipeline-clean",
         [
           Alcotest.test_case "mlp bp+mp" `Quick test_mlp_clean;
+          Alcotest.test_case "mlp bp+mp on 512 devices" `Quick
+            test_mlp_512_devices;
           Alcotest.test_case "transformer bp+mp" `Quick test_transformer_clean;
           Alcotest.test_case "partcheck cases" `Slow test_partcheck_cases_verify;
           Alcotest.test_case "debug hooks" `Quick test_debug_hooks;
